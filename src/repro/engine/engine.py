@@ -4,10 +4,10 @@ The paper's harness (§V–§VI) is a sweep machine — stride/size grids,
 unroll degrees 1–12, node counts 1–48 — and so is this reproduction.
 :class:`ExperimentEngine` is the one execution path every sweep shares:
 
-* **fan-out** — pending points run on worker processes (threads when
-  the worker doesn't pickle, a plain loop at ``jobs=1``), with results
-  always assembled in submission order, so the output is byte-identical
-  no matter how completion interleaves;
+* **fan-out** — pending points run on forked worker processes (a
+  plain loop at ``jobs=1``), one supervised :class:`Attempt` each,
+  with results always assembled in submission order, so the output is
+  byte-identical no matter how completion interleaves;
 * **memoization** — completed points land in a content-addressed
   on-disk :class:`~repro.engine.cache.ResultCache` keyed by a stable
   hash of (code version, sweep invariants, point), so re-running a
@@ -45,11 +45,8 @@ where sample N's value depends on the N-1 samples before it) set
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
@@ -59,7 +56,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.hashing import content_key
 from repro.engine.journal import RunJournal
 from repro.engine.manifest import PointRecord, RunManifest
-from repro.engine.resilience import ExecutionPolicy
+from repro.engine.resilience import ExecutionPolicy, decide_retry
 from repro.errors import EngineError, PointTimeout, RetryExhausted, WorkerCrash
 from repro.metrics.registry import MetricsRegistry, current_registry, use_registry
 from repro.version import __version__
@@ -153,13 +150,13 @@ class ReplicatedRun:
 def _timed_call(
     worker: Worker, params: Mapping[str, Any], capture: bool = False
 ) -> tuple[Any, float, dict[str, Any] | None]:
-    """Run one point; measure wall time (picklable top-level).
+    """Run one point; measure wall time.
 
     With ``capture=True`` the worker runs under a fresh, thread-scoped
     metrics registry and its snapshot rides back with the value — the
-    same path whether the point ran in-process, on a thread, or in a
-    worker process, which is why ``--jobs 1`` and ``--jobs 4`` merge to
-    identical metrics.
+    same path whether the point ran in-process or in a worker process,
+    which is why ``--jobs 1`` and ``--jobs 4`` merge to identical
+    metrics.
     """
     start = time.perf_counter()
     if capture:
@@ -199,15 +196,118 @@ def _point_process_main(conn, worker, params, capture) -> None:
         conn.close()
 
 
-@dataclass
-class _Attempt:
-    """One in-flight execution of one point in the process supervisor."""
+@dataclass(frozen=True)
+class Completed:
+    """A successful attempt: the worker's payload, wall time, snapshot."""
 
-    proc: Any
-    conn: Any
-    index: int
-    attempt: int
-    deadline: float | None
+    value: Any
+    wall: float
+    snapshot: dict[str, Any] | None
+
+
+class Attempt:
+    """One supervised run of one point in its own forked process.
+
+    The engine's process pool and the job service both run every
+    worker attempt through this class, each waiting on :attr:`handles`
+    with its own event loop.  Forking is required: the child inherits
+    *worker* and *params* unpickled (closures work), and the service
+    registers the sentinel with ``loop.add_reader`` (POSIX-only).
+
+    The attempt's budget is min(*timeout_s*, time left to *deadline*,
+    a monotonic instant); ``None`` for both means unbounded.
+    """
+
+    def __init__(
+        self,
+        worker: Worker,
+        params: Mapping[str, Any],
+        *,
+        capture: bool,
+        number: int,
+        timeout_s: float | None,
+        deadline: float | None,
+        label: str,
+    ) -> None:
+        now = time.monotonic()
+        left = None if deadline is None else deadline - now
+        budgets = [b for b in (timeout_s, left) if b is not None]
+        self.budget_s = max(0.0, min(budgets)) if budgets else None
+        self.deadline = None if self.budget_s is None else now + self.budget_s
+        self.number = number
+        self.label = label
+        self._message: tuple | None = None
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_conn = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(
+            target=_point_process_main,
+            args=(child_conn, worker, params, capture),
+            daemon=True,
+        )
+        self.proc.start()
+        child_conn.close()
+
+    @property
+    def handles(self) -> tuple[Any, ...]:
+        """What to wait on: the pipe until the message is in, the exit."""
+        if self._message is not None:
+            return (self.proc.sentinel,)
+        return (self.conn, self.proc.sentinel)
+
+    def time_left(self) -> float | None:
+        """Seconds until :meth:`expire` is due (``None``: no budget)."""
+        if self.deadline is None:
+            return None
+        return max(0.0, self.deadline - time.monotonic())
+
+    def poll(self) -> Completed | BaseException | None:
+        """``None`` while the worker runs; then its typed outcome.
+
+        The outcome is :class:`Completed`, the worker's own exception,
+        or a :class:`~repro.errors.WorkerCrash` (``kind="exit"``: died
+        without reporting; ``"protocol"``: the message could not
+        travel).  The message is read as soon as it arrives, so a big
+        payload never blocks the child's exit, but the outcome waits
+        for the exit, so reaping never blocks on a live worker.
+        """
+        # Liveness first: a dead worker has written all it ever will.
+        alive = self.proc.is_alive()
+        if self._message is None and self.conn.poll():
+            try:
+                self._message = self.conn.recv()
+            except (EOFError, OSError):
+                self._message = ("exit",)  # died mid-send
+            except Exception as error:  # undecodable message
+                self._message = (
+                    "error", f"undecodable worker message: {error!r}"
+                )
+        if alive:
+            return None
+        self.close()
+        kind, *body = self._message or ("exit",)
+        if kind == "ok":
+            return Completed(*body)
+        if kind == "raise":
+            return body[0]
+        if kind == "error":
+            return WorkerCrash(body[0], kind="protocol", attempt=self.number)
+        return WorkerCrash(
+            f"worker for {self.label} died with exit code "
+            f"{self.proc.exitcode}",
+            kind="exit", exitcode=self.proc.exitcode, attempt=self.number,
+        )
+
+    def expire(self) -> PointTimeout:
+        """Kill the worker for overrunning its budget."""
+        self.close()
+        return PointTimeout(self.budget_s, attempt=self.number)
+
+    def close(self) -> None:
+        """Reap the worker, killing it if it still runs."""
+        if self.proc.is_alive():
+            self.proc.kill()
+        self.proc.join()
+        self.conn.close()
 
 
 class ExperimentEngine:
@@ -261,20 +361,6 @@ class ExperimentEngine:
 
     # -- execution ---------------------------------------------------------
 
-    def _pick_executor(self, spec: SweepSpec, pending: int) -> str:
-        if self.jobs <= 1 or spec.serial_only or pending <= 1:
-            return "serial"
-        try:
-            pickle.dumps((spec.worker, spec.points))
-            return "process"
-        except (pickle.PickleError, AttributeError, TypeError):
-            # The three ways worker pickling actually fails: closures
-            # and locals raise AttributeError, unpicklable members
-            # (locks, sockets) TypeError, lookup mismatches
-            # PicklingError.  Anything else is a real bug and
-            # propagates instead of silently degrading the pool.
-            return "thread"
-
     def _timeout_for(self, spec: SweepSpec) -> float | None:
         if spec.point_timeout_s is not None:
             return spec.point_timeout_s
@@ -327,38 +413,24 @@ class ExperimentEngine:
                     keys[index], {"value": value, "metrics": snapshot}
                 )
 
+        deadline_label = (
+            None if run_deadline is None else f"{self.policy.deadline_s:g}s run"
+        )
+
         def fail(index, attempt, error: BaseException) -> float | None:
             """Record a failed attempt; a float means retry after it."""
-            record = {
-                "type": type(error).__name__,
-                "message": str(error),
-                "attempt": attempt,
-            }
-            if attempt < self.policy.max_attempts:
-                delay = self.policy.retry_delay_s(attempt, hashes[index])
-                if (
-                    run_deadline is None
-                    or time.monotonic() + delay <= run_deadline
-                ):
-                    transient.setdefault(index, []).append(record)
-                    self.metrics.inc("engine.retries")
-                    return delay
-                # The retry budget is not spent, but the run deadline
-                # truncates the schedule: what the point ran out of is
-                # its budget, so the manifest records RetryExhausted —
-                # the last attempt's incidental error (often a
-                # PointTimeout) survives as the cause, not the type.
+            delay, record = decide_retry(
+                self.policy, attempt, error, hashes[index],
+                None if run_deadline is None
+                else run_deadline - time.monotonic(),
+                deadline_label,
+            )
+            if delay is not None:
                 transient.setdefault(index, []).append(record)
-                record = {
-                    "type": "RetryExhausted",
-                    "message": (
-                        f"retry schedule truncated by the "
-                        f"{self.policy.deadline_s:g}s run deadline after "
-                        f"attempt {attempt} "
-                        f"({record['type']}: {record['message']})"
-                    ),
-                    "attempt": attempt,
-                }
+                self.metrics.inc("engine.retries")
+                return delay
+            if "cause" in record:
+                transient.setdefault(index, []).append(record.pop("cause"))
             attempts[index] = attempt
             failures[index] = record
             failure_exc[index] = error
@@ -394,21 +466,20 @@ class ExperimentEngine:
                         continue
                 pending.append(index)
 
-            executor_kind = self._pick_executor(spec, len(pending))
-            if pending:
-                if executor_kind == "process":
-                    self._run_processes(
-                        spec, pending, capture, complete, fail, timeout_s,
-                        run_deadline,
-                    )
-                elif executor_kind == "thread":
-                    self._run_threads(
-                        spec, pending, capture, complete, fail, timeout_s
-                    )
-                else:
-                    self._run_serial(
-                        spec, pending, capture, complete, fail, timeout_s
-                    )
+            executor_kind = (
+                "serial"
+                if self.jobs <= 1 or spec.serial_only or len(pending) <= 1
+                else "process"
+            )
+            if executor_kind == "process":
+                self._run_processes(
+                    spec, pending, capture, complete, fail, timeout_s,
+                    run_deadline,
+                )
+            elif pending:
+                self._run_serial(
+                    spec, pending, capture, complete, fail, timeout_s
+                )
 
         # Historical contract: without a fault-tolerance policy, a
         # worker exception propagates as itself (typed engine failures
@@ -487,151 +558,38 @@ class ExperimentEngine:
                 complete(index, value, wall, snapshot, attempt)
                 break
 
-    def _run_threads(
-        self, spec, pending, capture, complete, fail, timeout_s
-    ) -> None:
-        """Thread fan-out for unpicklable workers.
-
-        Threads cannot be killed: a timed-out future is abandoned (its
-        eventual result ignored) and the attempt retried on a fresh
-        submission.  Real isolation — actually reclaiming a hung
-        worker — needs process mode.
-        """
-        workers = min(self.jobs, len(pending))
-        pool = ThreadPoolExecutor(max_workers=workers)
-        in_flight: dict[Any, tuple[int, int, float]] = {}
-        backlog: list[tuple[float, int, int]] = []  # (not_before, index, attempt)
-
-        def schedule_failure(index, attempt, error) -> None:
-            delay = fail(index, attempt, error)
-            if delay is not None:
-                backlog.append((time.monotonic() + delay, index, attempt + 1))
-
-        try:
-            for index in pending:
-                future = pool.submit(
-                    _timed_call, spec.worker, spec.points[index], capture
-                )
-                in_flight[future] = (index, 1, time.monotonic())
-            while in_flight or backlog:
-                now = time.monotonic()
-                if backlog:
-                    due = [item for item in backlog if item[0] <= now]
-                    backlog = [item for item in backlog if item[0] > now]
-                    for _, index, attempt in sorted(due):
-                        future = pool.submit(
-                            _timed_call, spec.worker, spec.points[index],
-                            capture,
-                        )
-                        in_flight[future] = (index, attempt, time.monotonic())
-                if not in_flight:
-                    time.sleep(max(0.0, min(b[0] for b in backlog) - now))
-                    continue
-                wait_for: list[float] = []
-                if timeout_s is not None:
-                    wait_for.extend(
-                        started + timeout_s - now
-                        for _, _, started in in_flight.values()
-                    )
-                wait_for.extend(b[0] - now for b in backlog)
-                wait_timeout = max(0.0, min(wait_for)) if wait_for else None
-                done, _ = futures_wait(
-                    set(in_flight), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for future in done:
-                    index, attempt, _started = in_flight.pop(future)
-                    try:
-                        value, wall, snapshot = future.result()
-                    except Exception as error:
-                        schedule_failure(index, attempt, error)
-                    else:
-                        complete(index, value, wall, snapshot, attempt)
-                if timeout_s is not None:
-                    for future, (index, attempt, started) in list(
-                        in_flight.items()
-                    ):
-                        if now - started >= timeout_s:
-                            del in_flight[future]
-                            future.cancel()  # abandoned if already running
-                            self.metrics.inc("engine.timeouts")
-                            schedule_failure(
-                                index, attempt,
-                                PointTimeout(timeout_s, attempt=attempt),
-                            )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     def _run_processes(
         self, spec, pending, capture, complete, fail, timeout_s,
-        run_deadline=None,
+        run_deadline,
     ) -> None:
         """The supervised process pool: full crash/hang isolation.
 
-        Each attempt is its own process with its own result pipe.  The
-        supervisor waits on pipes *and* process sentinels, so a worker
-        that dies without reporting (``os._exit``, OOM kill, signal) is
-        detected immediately even while siblings hold inherited pipe
-        ends; a worker past its deadline is killed outright.  Either
-        way only that point's attempt fails — the pool never breaks.
-        A ``run_deadline`` (monotonic instant) additionally caps every
-        attempt: a worker still running when the run budget expires is
-        killed rather than allowed to overshoot it.
+        Each attempt is its own :class:`Attempt`, so a worker that dies
+        (``os._exit``, OOM kill, signal) fails only its own attempt,
+        and one past its budget is killed outright.  The pool never
+        breaks.
         """
-        ctx = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else multiprocessing.get_context()
-        )
         workers = min(self.jobs, len(pending))
         queue: deque[tuple[int, int, float]] = deque(
             (index, 1, 0.0) for index in pending
         )
-        running: list[_Attempt] = []
-
-        def launch(index: int, attempt: int, now: float) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_point_process_main,
-                args=(child_conn, spec.worker, spec.points[index], capture),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            deadline = None if timeout_s is None else now + timeout_s
-            if run_deadline is not None:
-                deadline = (
-                    run_deadline if deadline is None
-                    else min(deadline, run_deadline)
-                )
-            running.append(_Attempt(
-                proc=proc, conn=parent_conn, index=index, attempt=attempt,
-                deadline=deadline,
-            ))
-
-        def retire(task: _Attempt) -> None:
-            running.remove(task)
-            task.conn.close()
-            task.proc.join()
-
-        def requeue_or_fail(task: _Attempt, error: BaseException) -> None:
-            delay = fail(task.index, task.attempt, error)
-            if delay is not None:
-                queue.append(
-                    (task.index, task.attempt + 1, time.monotonic() + delay)
-                )
+        running: dict[Attempt, int] = {}  # attempt -> point index
 
         try:
             while queue or running:
                 now = time.monotonic()
                 deferred: list[tuple[int, int, float]] = []
                 while queue and len(running) < workers:
-                    index, attempt, not_before = queue.popleft()
+                    index, number, not_before = queue.popleft()
                     if not_before > now:
-                        deferred.append((index, attempt, not_before))
+                        deferred.append((index, number, not_before))
                         continue
-                    launch(index, attempt, now)
+                    task = Attempt(
+                        spec.worker, spec.points[index], capture=capture,
+                        number=number, timeout_s=timeout_s,
+                        deadline=run_deadline, label=f"point #{index}",
+                    )
+                    running[task] = index
                 queue.extendleft(reversed(deferred))
 
                 if not running:
@@ -642,80 +600,39 @@ class ExperimentEngine:
                     continue
 
                 wait_for = [
-                    t.deadline - now for t in running if t.deadline is not None
+                    left for left in (t.time_left() for t in running)
+                    if left is not None
                 ]
                 if queue and len(running) < workers:
                     wait_for.extend(nb - now for _, _, nb in queue)
-                wait_timeout = max(0.0, min(wait_for)) if wait_for else None
-                by_handle = {}
-                for task in running:
-                    by_handle[task.conn] = task
-                    by_handle[task.proc.sentinel] = task
-                ready = mp_connection.wait(
-                    list(by_handle), timeout=wait_timeout
+                mp_connection.wait(
+                    [handle for task in running for handle in task.handles],
+                    timeout=max(0.0, min(wait_for)) if wait_for else None,
                 )
-                now = time.monotonic()
-                seen: set[int] = set()
-                for handle in ready:
-                    task = by_handle[handle]
-                    if id(task) in seen or task not in running:
+                for task in list(running):
+                    outcome = task.poll()
+                    if outcome is None and task.time_left() == 0.0:
+                        self.metrics.inc("engine.timeouts")
+                        outcome = task.expire()
+                    if outcome is None:
                         continue
-                    seen.add(id(task))
-                    message: tuple | None
-                    if task.conn.poll():
-                        try:
-                            message = task.conn.recv()
-                        except (EOFError, OSError):
-                            message = None  # died mid-send
-                        except Exception as error:  # undecodable message
-                            message = (
-                                "error",
-                                f"undecodable worker message: {error!r}",
-                            )
-                    elif not task.proc.is_alive():
-                        message = None  # died without reporting
-                    else:
-                        continue  # sentinel raced a still-live worker
-                    retire(task)
-                    if message is None:
+                    index = running.pop(task)
+                    if isinstance(outcome, Completed):
+                        complete(index, outcome.value, outcome.wall,
+                                 outcome.snapshot, task.number)
+                        continue
+                    if isinstance(outcome, WorkerCrash):
                         self.metrics.inc("engine.worker_crashes")
-                        requeue_or_fail(task, WorkerCrash(
-                            f"worker for point #{task.index} died with exit "
-                            f"code {task.proc.exitcode}",
-                            kind="exit", exitcode=task.proc.exitcode,
-                            attempt=task.attempt,
-                        ))
-                    elif message[0] == "ok":
-                        _, value, wall, snapshot = message
-                        complete(task.index, value, wall, snapshot,
-                                 task.attempt)
-                    elif message[0] == "raise":
-                        requeue_or_fail(task, message[1])
-                    else:
-                        self.metrics.inc("engine.worker_crashes")
-                        requeue_or_fail(task, WorkerCrash(
-                            message[1], kind="protocol", attempt=task.attempt,
-                        ))
-                if timeout_s is not None or run_deadline is not None:
-                    budget = (
-                        timeout_s if timeout_s is not None
-                        else self.policy.deadline_s
-                    )
-                    for task in list(running):
-                        if task.deadline is not None and now >= task.deadline:
-                            task.proc.kill()
-                            retire(task)
-                            self.metrics.inc("engine.timeouts")
-                            requeue_or_fail(task, PointTimeout(
-                                budget, attempt=task.attempt,
-                            ))
+                    delay = fail(index, task.number, outcome)
+                    if delay is not None:
+                        queue.append(
+                            (index, task.number + 1, time.monotonic() + delay)
+                        )
         finally:
             # A typed abort (e.g. the journal's disk filled) must not
             # leave orphaned workers behind.
             for task in running:
-                task.proc.kill()
-                task.proc.join()
-                task.conn.close()
+                task.close()
 
     # -- metrics -----------------------------------------------------------
 

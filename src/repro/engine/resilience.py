@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.faults.detect import RetryPolicy
@@ -31,8 +32,7 @@ class ExecutionPolicy:
 
     * ``point_timeout_s`` — wall-clock budget per attempt.  In process
       mode a worker exceeding it is killed and the attempt counts as a
-      :class:`~repro.errors.PointTimeout`; thread mode abandons the
-      future (the thread cannot be killed); serial mode only observes
+      :class:`~repro.errors.PointTimeout`; serial mode only observes
       the overrun (``engine.timeouts`` metric) since the value already
       exists.  ``None`` disables the budget.
     * ``retry`` — the backoff schedule for failed attempts; ``None``
@@ -47,9 +47,10 @@ class ExecutionPolicy:
       past the deadline is not dispatched: the point fails finally with
       a ``RetryExhausted`` manifest record (the budget ran out — the
       incidental type of the last attempt's error is preserved as its
-      cause).  The job service derives this from each job's deadline,
-      so a client deadline propagates all the way into the retry
-      schedule.  ``None`` (the default) disables the budget.
+      cause).  The job service applies the same rule
+      (:func:`decide_retry`) to each job's own deadline, so a client
+      deadline propagates all the way into the retry schedule.
+      ``None`` (the default) disables the budget.
     """
 
     point_timeout_s: float | None = None
@@ -112,3 +113,47 @@ class ExecutionPolicy:
         ).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2.0**64  # [0, 1)
         return base * (1.0 - self.jitter + 2.0 * self.jitter * fraction)
+
+
+def decide_retry(
+    policy: ExecutionPolicy,
+    attempt: int,
+    error: BaseException,
+    token: str,
+    remaining_s: float | None,
+    deadline_label: str | None,
+) -> tuple[float | None, dict[str, Any]]:
+    """Whether failed *attempt* (1-based) runs again, and what it leaves.
+
+    Returns ``(delay, record)``: retry after *delay* seconds, with
+    *record* joining the point's transient errors; or ``(None,
+    record)`` with *record* the point's final error.  ``remaining_s``
+    is what is left of the deadline (``None``: no deadline) and
+    ``deadline_label`` names it in messages (``"5s run"``,
+    ``"0.3s job"``).  A retry is scheduled only if it can start
+    before the deadline (``delay < remaining_s``).  When the deadline
+    cuts a schedule short, what the point ran out of is its budget:
+    the final record is ``RetryExhausted``, and the attempt's own
+    record — often an incidental ``PointTimeout`` — survives as its
+    ``"cause"``, which callers move to the transient errors.
+    """
+    record: dict[str, Any] = {
+        "type": type(error).__name__,
+        "message": str(error),
+        "attempt": attempt,
+    }
+    if attempt >= policy.max_attempts:
+        return None, record
+    delay = policy.retry_delay_s(attempt, token)
+    if remaining_s is None or delay < remaining_s:
+        return delay, record
+    return None, {
+        "type": "RetryExhausted",
+        "message": (
+            f"retry schedule truncated by the {deadline_label} deadline "
+            f"after attempt {attempt} "
+            f"({record['type']}: {record['message']})"
+        ),
+        "attempt": attempt,
+        "cause": record,
+    }

@@ -11,9 +11,11 @@ Failure is the design center, not the edge case:
 * every submission is answered immediately — warm (journal/cache hit),
   attached (single-flight), queued, or *typed rejection* (overload,
   open breaker, draining);
-* a worker crash, hang or deadline overrun fails only its job, with
-  the same retry/backoff semantics and manifest-style error records as
-  the batch engine;
+* a worker crash, hang or deadline overrun fails only its job: every
+  attempt is the batch engine's :class:`~repro.engine.engine.Attempt`
+  and every retry the engine's
+  :func:`~repro.engine.resilience.decide_retry`, so both write the
+  same manifest-style error records;
 * every admitted job is journaled before it is acknowledged, every
   value before the job is reported done — ``kill -9`` at any instant
   loses no acknowledged work, and a restarted instance re-serves
@@ -23,7 +25,6 @@ Failure is the design center, not the edge case:
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import tempfile
 import time
 from dataclasses import dataclass
@@ -31,14 +32,15 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.engine.cache import ResultCache
-from repro.engine.engine import _point_process_main
+from repro.engine.engine import Attempt, Completed
 from repro.engine.journal import RunJournal
-from repro.engine.resilience import ExecutionPolicy
+from repro.engine.resilience import ExecutionPolicy, decide_retry
 from repro.errors import (
     CircuitOpen,
+    ConfigurationError,
     InvalidJobRequest,
     JobNotFound,
-    PointTimeout,
+    JournalError,
     ServiceDraining,
     ServiceOverloaded,
     WorkerCrash,
@@ -50,7 +52,6 @@ from repro.service.jobs import Job, JobState
 from repro.service.queue import AdmissionQueue, SingleFlight
 from repro.service.scenarios import (
     SCENARIOS,
-    Scenario,
     job_content_key,
     resolve_scenario,
 )
@@ -62,7 +63,9 @@ class ServiceConfig:
 
     ``run_dir`` enables the crash-safe journal (``service.journal``
     inside it); without it the instance is purely in-memory and only
-    the shared result cache survives a restart.
+    the shared result cache survives a restart.  ``policy`` is the
+    :class:`ExecutionPolicy` built from the timeout/retry settings at
+    construction, so a setting it rejects fails here, not every job.
     """
 
     cache_root: str | Path | None = None
@@ -90,6 +93,21 @@ class ServiceConfig:
             raise InvalidJobRequest(
                 f"retries must be >= 0, got {self.retries}"
             )
+        try:
+            policy = ExecutionPolicy(
+                point_timeout_s=self.point_timeout_s,
+                retry=RetryPolicy(
+                    timeout_s=self.retry_delay_s,
+                    backoff=2.0,
+                    max_retries=self.retries,
+                ) if self.retries > 0 else None,
+            )
+        except ConfigurationError as error:
+            raise ConfigurationError(
+                f"point_timeout_s={self.point_timeout_s!r}, "
+                f"retry_delay_s={self.retry_delay_s!r}: {error}"
+            ) from error
+        object.__setattr__(self, "policy", policy)
 
 
 class JobService:
@@ -450,204 +468,117 @@ class JobService:
                     # up another job with the service going down.
                     raise
                 # An individually-cancelled job: the slot keeps serving.
-            except Exception:
-                # _execute handles its own failures; a leak here must
-                # not kill the pool slot.
-                pass
             finally:
                 self._running.discard(job)
                 self._update_gauges()
             if self.draining:
                 return
 
-    def _policy(self) -> ExecutionPolicy:
-        retry = None
-        if self.config.retries > 0:
-            retry = RetryPolicy(
-                timeout_s=self.config.retry_delay_s,
-                backoff=2.0,
-                max_retries=self.config.retries,
-            )
-        return ExecutionPolicy(
-            point_timeout_s=self.config.point_timeout_s,
-            retry=retry,
-        )
-
     async def _execute(self, job: Job) -> None:
         if job.state is not JobState.QUEUED:
             return
         await job.transition(JobState.RUNNING)
-        policy = self._policy()
-        scenario = SCENARIOS[job.scenario]
         transient: list[dict[str, Any]] = []
-        attempt = 0
         try:
-            while True:
-                attempt += 1
-                job.attempts = attempt
-                await job.touch()
-                remaining = job.remaining_s
-                if remaining is not None and remaining <= 0:
-                    await self._finish_failed(job, {
-                        "type": "RetryExhausted",
-                        "message": (
-                            f"job deadline of {job.deadline_s:g}s expired "
-                            f"before attempt {attempt} could start"
-                        ),
-                        "attempt": attempt,
-                    }, transient)
-                    return
-                timeout = policy.point_timeout_s
-                if remaining is not None:
-                    timeout = (
-                        remaining if timeout is None
-                        else min(timeout, remaining)
-                    )
-                started = time.perf_counter()
-                try:
-                    value, wall, snapshot = await self._run_attempt(
-                        scenario, job, timeout, attempt
-                    )
-                except asyncio.CancelledError:
-                    raise
-                except Exception as error:
-                    record = {
-                        "type": type(error).__name__,
-                        "message": str(error),
-                        "attempt": attempt,
-                    }
-                    if attempt < policy.max_attempts:
-                        delay = policy.retry_delay_s(
-                            attempt, job.content_hash
-                        )
-                        left = job.remaining_s
-                        if left is None or delay < left:
-                            transient.append(record)
-                            self.metrics.inc("service.retries")
-                            await asyncio.sleep(delay)
-                            continue
-                        # Same semantics as the engine's run deadline:
-                        # budget truncated -> RetryExhausted, with the
-                        # incidental last error kept as the cause.
-                        transient.append(record)
-                        record = {
-                            "type": "RetryExhausted",
-                            "message": (
-                                f"retry schedule truncated by the "
-                                f"{job.deadline_s:g}s job deadline after "
-                                f"attempt {attempt} "
-                                f"({record['type']}: {record['message']})"
-                            ),
-                            "attempt": attempt,
-                        }
-                    await self._finish_failed(job, record, transient)
-                    return
-                job.wall_seconds = wall if wall else (
-                    time.perf_counter() - started
-                )
-                await self._finish_done(job, value, snapshot)
-                return
+            await self._run_attempts(job, transient)
         except asyncio.CancelledError:
             # cancel() already owns the terminal transition.
             raise
+        except Exception as error:
+            # E.g. the journal's disk filled under the value write: the
+            # job fails typed and frees its slot — never DONE without
+            # a durable value, never RUNNING forever.
+            await self._finish_failed(job, {
+                "type": type(error).__name__,
+                "message": str(error),
+                "attempt": job.attempts,
+            }, transient)
 
-    async def _run_attempt(
-        self,
-        scenario: Scenario,
-        job: Job,
-        timeout_s: float | None,
-        attempt: int,
-    ) -> tuple[Any, float, Any]:
-        """One forked attempt, supervised without blocking the loop.
-
-        The child's result pipe fd and its process sentinel are both
-        registered on the event loop; whichever fires first wakes the
-        supervisor.  A hang past *timeout_s* or a cancellation kills
-        the child outright — the loop never waits on a corpse.
-        """
-        loop = asyncio.get_running_loop()
-        ctx = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else multiprocessing.get_context()
-        )
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        capture = self.metrics.enabled
+    async def _run_attempts(
+        self, job: Job, transient: list[dict[str, Any]]
+    ) -> None:
+        policy = self.config.policy
+        worker = SCENARIOS[job.scenario].worker
         params = dict(job.params)
         if job.progress_path is not None:
             # Injected after key material was derived, so the progress
             # channel never perturbs caching or dedup.
             params["_progress_path"] = job.progress_path
-        proc = ctx.Process(
-            target=_point_process_main,
-            args=(child_conn, scenario.worker, params, capture),
-            daemon=True,
+        deadline_label = (
+            None if job.deadline_s is None else f"{job.deadline_s:g}s job"
         )
-        proc.start()
-        child_conn.close()
-        wake = asyncio.Event()
-        pipe_fd = parent_conn.fileno()
-        loop.add_reader(pipe_fd, wake.set)
-        loop.add_reader(proc.sentinel, wake.set)
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
+        attempt = 0
+        while True:
+            attempt += 1
+            job.attempts = attempt
+            await job.touch()
+            remaining = job.remaining_s
+            if remaining is not None and remaining <= 0:
+                await self._finish_failed(job, {
+                    "type": "RetryExhausted",
+                    "message": (
+                        f"job deadline of {job.deadline_s:g}s expired "
+                        f"before attempt {attempt} could start"
+                    ),
+                    "attempt": attempt,
+                }, transient)
+                return
+            outcome = await self._supervise(Attempt(
+                worker, params, capture=self.metrics.enabled, number=attempt,
+                timeout_s=policy.point_timeout_s, deadline=job.deadline,
+                label=f"job {job.job_id}",
+            ))
+            if isinstance(outcome, Completed):
+                job.wall_seconds = outcome.wall
+                await self._finish_done(job, outcome.value, outcome.snapshot)
+                return
+            if isinstance(outcome, WorkerCrash):
+                self.metrics.inc("service.worker_crashes")
+            delay, record = decide_retry(
+                policy, attempt, outcome, job.content_hash,
+                job.remaining_s, deadline_label,
+            )
+            if delay is None:
+                if "cause" in record:
+                    transient.append(record.pop("cause"))
+                await self._finish_failed(job, record, transient)
+                return
+            transient.append(record)
+            self.metrics.inc("service.retries")
+            await asyncio.sleep(delay)
+
+    async def _supervise(
+        self, attempt: Attempt
+    ) -> Completed | BaseException:
+        """Wait *attempt* out without blocking the event loop.
+
+        Its wait handles are registered as loop readers, so the loop
+        wakes when the child reports or exits; a hang past the
+        attempt's budget or a cancellation kills the child.
+        """
+        loop = asyncio.get_running_loop()
         try:
             while True:
-                if parent_conn.poll():
-                    try:
-                        message = parent_conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    except Exception as error:
-                        message = (
-                            "error",
-                            f"undecodable worker message: {error!r}",
-                        )
-                    break
-                if not proc.is_alive():
-                    message = None
-                    break
-                wait_budget = None
-                if deadline is not None:
-                    wait_budget = deadline - time.monotonic()
-                    if wait_budget <= 0:
-                        proc.kill()
-                        self.metrics.inc("service.timeouts")
-                        raise PointTimeout(timeout_s, attempt=attempt)
-                wake.clear()
-                try:
-                    await asyncio.wait_for(wake.wait(), timeout=wait_budget)
-                except asyncio.TimeoutError:
-                    proc.kill()
+                outcome = attempt.poll()
+                if outcome is None and attempt.time_left() == 0.0:
                     self.metrics.inc("service.timeouts")
-                    raise PointTimeout(timeout_s, attempt=attempt)
+                    outcome = attempt.expire()
+                if outcome is not None:
+                    return outcome
+                wake = asyncio.Event()
+                handles = attempt.handles
+                for handle in handles:
+                    loop.add_reader(handle, wake.set)
+                try:
+                    await asyncio.wait_for(wake.wait(), attempt.time_left())
+                except asyncio.TimeoutError:
+                    pass
+                finally:
+                    for handle in handles:
+                        loop.remove_reader(handle)
         except asyncio.CancelledError:
-            proc.kill()
+            attempt.close()
             raise
-        finally:
-            loop.remove_reader(pipe_fd)
-            try:
-                loop.remove_reader(proc.sentinel)
-            except (OSError, ValueError):
-                pass
-            parent_conn.close()
-            proc.join(timeout=5.0)
-
-        if message is None:
-            self.metrics.inc("service.worker_crashes")
-            raise WorkerCrash(
-                f"worker for job {job.job_id} died with exit code "
-                f"{proc.exitcode}",
-                kind="exit", exitcode=proc.exitcode, attempt=attempt,
-            )
-        if message[0] == "ok":
-            _, value, wall, snapshot = message
-            return value, wall, snapshot
-        if message[0] == "raise":
-            raise message[1]
-        self.metrics.inc("service.worker_crashes")
-        raise WorkerCrash(message[1], kind="protocol", attempt=attempt)
 
     # -- completion --------------------------------------------------------
 
@@ -662,12 +593,11 @@ class JobService:
         if snapshot and self.metrics.enabled:
             self.metrics.merge(snapshot)
         await job.transition(JobState.DONE, value=value, source="computed")
-        if self.journal is not None:
-            self.journal.append(f"state/{job.job_id}", {
-                "state": "done",
-                "attempts": job.attempts,
-                "wall_seconds": job.wall_seconds,
-            })
+        self._journal_terminal(job, {
+            "state": "done",
+            "attempts": job.attempts,
+            "wall_seconds": job.wall_seconds,
+        })
         self.breakers.for_class(job.scenario_class).record_success()
         self.queue.observe_wall(job.wall_seconds)
         self.single_flight.release(job)
@@ -684,12 +614,11 @@ class JobService:
         if transient:
             record["transient_errors"] = list(transient)
         await job.transition(JobState.FAILED, error=record)
-        if self.journal is not None:
-            self.journal.append(f"state/{job.job_id}", {
-                "state": "failed",
-                "error": record,
-                "attempts": job.attempts,
-            })
+        self._journal_terminal(job, {
+            "state": "failed",
+            "error": record,
+            "attempts": job.attempts,
+        })
         breaker = self.breakers.for_class(job.scenario_class)
         was_open = breaker.state == OPEN
         breaker.record_failure()
@@ -698,6 +627,20 @@ class JobService:
         self.single_flight.release(job)
         self.metrics.inc("service.failed")
         self._update_gauges()
+
+    def _journal_terminal(self, job: Job, record: dict[str, Any]) -> None:
+        """Journal *job*'s terminal state, if the disk allows.
+
+        A lost terminal record only means a restart finds the job
+        unfinished: re-served from its journaled value, or requeued.
+        So the failure is counted, and the job's bookkeeping goes on.
+        """
+        if self.journal is None:
+            return
+        try:
+            self.journal.append(f"state/{job.job_id}", record)
+        except JournalError:
+            self.metrics.inc("service.journal_errors")
 
     # -- gauges ------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.chaos import FlakyJournal
 from repro.errors import CircuitOpen, ServiceOverloaded
 from repro.metrics.registry import MetricsRegistry, use_registry
 from repro.service import JobService, ServiceClient, ServiceConfig
@@ -244,6 +245,41 @@ class TestWorkerFaults:
         assert job.state is JobState.DONE
         assert job.value == {"x": 7, "value": 49}
         assert job.attempts == 2
+
+
+class TestJournalFullMidJob:
+    def test_failed_value_write_fails_the_job_and_frees_its_slot(
+        self, tmp_path
+    ):
+        async def scenario():
+            with use_registry(MetricsRegistry()) as registry:
+                service = JobService(ServiceConfig(
+                    cache_root=tmp_path / "cache", pool_size=1,
+                ))
+                # The job/ record fits; the value/ write-ahead gets
+                # ENOSPC after the worker has already computed.
+                service.journal = FlakyJournal(
+                    tmp_path / "run" / "service.journal", capacity=1
+                )
+                await service.start()
+                try:
+                    job, _ = await service.submit("squares", {"x": 5})
+                    await asyncio.wait_for(job.wait_terminal(), timeout=30)
+                    # An identical resubmission would attach to
+                    # whatever job still holds the single-flight slot.
+                    slot = service.single_flight.get(job.content_hash)
+                    return job, slot, registry.snapshot()["counters"]
+                finally:
+                    await service.shutdown(drain_s=1.0)
+
+        job, slot, counters = run(scenario())
+        assert job.state is JobState.FAILED
+        assert job.error["type"] == "JournalError"
+        assert "no space left" in job.error["message"]
+        assert job.value is None and job.source is None
+        assert slot is None
+        assert counters["service.failed"]["value"] == 1
+        assert "service.completed" not in counters
 
 
 class ServeProcess:

@@ -6,6 +6,8 @@ have returned or raises a typed error — never a silent wrong answer,
 never a wedged pool.
 """
 
+import re
+
 import pytest
 
 from repro.engine import ExecutionPolicy, ExperimentEngine, ResultCache, SweepSpec
@@ -133,6 +135,31 @@ class TestHangs:
         (failure,) = excinfo.value.failures
         assert failure["type"] == "PointTimeout"
         assert failure["attempts"] == 2
+
+
+class TestAttemptBudget:
+    @pytest.mark.parametrize("point_timeout_s", [10.0, None])
+    def test_timeout_names_the_budget_the_attempt_had(
+        self, tmp_path, point_timeout_s
+    ):
+        """The run deadline (0.5s) is the binding budget, so the kill
+        lands near 0.5s and the record must say so, not 10s."""
+        engine = ExperimentEngine(jobs=2, policy=ExecutionPolicy(
+            point_timeout_s=point_timeout_s, deadline_s=0.5,
+        ))
+        with pytest.raises(RetryExhausted) as excinfo:
+            run_chaos_sweep(
+                engine, xs=(1, 2), state_dir=str(tmp_path / "state"),
+                faults={"1": {"kind": "hang", "times": 99, "hang_s": 5.0}},
+            )
+        (failure,) = excinfo.value.failures
+        assert failure["type"] == "PointTimeout"
+        budget = re.search(
+            r"exceeded its (\S+)s wall-clock budget", failure["message"]
+        )
+        assert budget is not None, failure["message"]
+        assert 0.0 < float(budget.group(1)) <= 0.5
+        assert engine.manifests[0].elapsed_seconds < 4.0
 
 
 class TestFaultFreeEquivalence:

@@ -1,11 +1,13 @@
 """ExecutionPolicy semantics and manifest-scan reporting."""
 
 import json
+import math
 
 import pytest
 
 from repro.engine import ExecutionPolicy, load_manifests, scan_manifests
 from repro.engine.manifest import PointRecord, RunManifest
+from repro.engine.resilience import decide_retry
 from repro.errors import ConfigurationError, EngineError
 from repro.faults.detect import RetryPolicy
 
@@ -129,6 +131,60 @@ class TestRunDeadline:
         ))
         assert point.error["type"] == "ValueError"
         assert point.attempts == 2
+
+
+_RETRYING = ExecutionPolicy(
+    retry=RetryPolicy(timeout_s=0.2, max_retries=2), jitter=0.1, seed=3,
+)
+_DELAY_1 = _RETRYING.retry_delay_s(1, "tok")
+
+
+class TestDecideRetry:
+    """The one retry rule the engine and the job service share."""
+
+    @pytest.mark.parametrize(
+        "policy, attempt, remaining_s, label, delay, final_type, message",
+        [
+            # No retry policy: one attempt, the error keeps its type.
+            (ExecutionPolicy(), 1, None, None, None, "ValueError",
+             "boom"),
+            (ExecutionPolicy(), 1, 0.0, "5s run", None, "ValueError",
+             "boom"),
+            # Budget left: exactly the policy's seeded delay.
+            (_RETRYING, 1, None, None, _DELAY_1, None, None),
+            (_RETRYING, 1, math.nextafter(_DELAY_1, math.inf), "5s run",
+             _DELAY_1, None, None),
+            # A retry that could not start before the deadline is cut.
+            (_RETRYING, 1, _DELAY_1, "5s run", None, "RetryExhausted",
+             "truncated by the 5s run deadline after attempt 1 "
+             "(ValueError: boom)"),
+            (_RETRYING, 2, 0.001, "0.3s job", None, "RetryExhausted",
+             "truncated by the 0.3s job deadline after attempt 2 "
+             "(ValueError: boom)"),
+            # Attempts spent: final, own type, whatever the deadline.
+            (_RETRYING, 3, None, None, None, "ValueError", "boom"),
+            (_RETRYING, 3, 0.001, "5s run", None, "ValueError", "boom"),
+        ],
+    )
+    def test_decision_table(
+        self, policy, attempt, remaining_s, label, delay, final_type,
+        message,
+    ):
+        got_delay, record = decide_retry(
+            policy, attempt, ValueError("boom"), "tok", remaining_s, label
+        )
+        own = {"type": "ValueError", "message": "boom", "attempt": attempt}
+        assert got_delay == delay
+        if delay is not None:
+            assert record == own  # joins the transient errors
+            return
+        assert record["type"] == final_type
+        assert record["attempt"] == attempt
+        assert message in record["message"]
+        if final_type == "RetryExhausted":
+            assert record["cause"] == own
+        else:
+            assert record == own
 
 
 class TestBackoffSchedule:

@@ -128,6 +128,18 @@ class TestSubmitCommand:
         assert code == 1
         assert "error in submit" in captured.err
 
+    def test_serve_rejects_a_zero_point_timeout(self, tmp_path, capsys):
+        code = main([
+            "serve", "--point-timeout", "0", "--port", "0",
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error in serve: ")
+        assert "point timeout must be positive" in lines[0]
+
     def test_unreachable_service_is_one_clean_line(self, capsys):
         code = main([
             "submit", "squares", "--param", "x=1",

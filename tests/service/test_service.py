@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import (
     CircuitOpen,
+    ConfigurationError,
     InvalidJobRequest,
     JobNotFound,
     ServiceDraining,
@@ -221,6 +222,21 @@ class TestAdmissionControl:
                 await service.shutdown(drain_s=0.0)
 
         run(scenario())
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"retries": 1, "retry_delay_s": 0.0},
+        {"point_timeout_s": 0.0},
+        {"point_timeout_s": -1.0},
+    ])
+    def test_bad_retry_or_timeout_settings_fail_at_construction(
+        self, tmp_path, overrides
+    ):
+        # Each of these used to be accepted, then leave every computed
+        # job RUNNING forever.
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(cache_root=tmp_path / "cache", **overrides)
 
 
 class TestCircuitBreaker:
