@@ -10,7 +10,6 @@ rest of the library builds on:
 * :mod:`repro.core.stats` — summary statistics, confidence intervals,
   bimodal-mode detection and least-squares fits,
 * :mod:`repro.core.experiment` — randomized factorial experiment plans,
-* :mod:`repro.core.sweep` — parameter sweeps,
 * :mod:`repro.core.report` — ASCII tables and series for regenerating
   the paper's artefacts.
 """
@@ -32,7 +31,6 @@ from repro.core.stats import (
     linear_fit,
     summarize,
 )
-from repro.core.sweep import ParameterSweep
 from repro.core.report import Table, render_series, render_table
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "ExperimentPlan",
     "Factor",
     "MeasurementSet",
-    "ParameterSweep",
     "Sample",
     "SummaryStats",
     "Table",

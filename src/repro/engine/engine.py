@@ -71,6 +71,25 @@ SCHEMA_VERSION = 3
 Worker = Callable[[Mapping[str, Any]], Any]
 
 
+def key_material(
+    sweep_key: Mapping[str, Any], point: Mapping[str, Any]
+) -> dict[str, Any]:
+    """The cache-key material of one *point* under *sweep_key*.
+
+    Includes the library version and the engine schema version, so
+    upgrading either invalidates stale results; excludes the sweep
+    *name*, so differently-labelled sweeps over the same invariants
+    share entries.  The job service keys its jobs with this too, which
+    is what makes its cache and journal interoperable with batch runs.
+    """
+    return {
+        "schema": SCHEMA_VERSION,
+        "code": __version__,
+        "sweep": dict(sweep_key),
+        "point": dict(point),
+    }
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: a worker, its points, and the run's invariants.
@@ -345,19 +364,8 @@ class ExperimentEngine:
 
     @staticmethod
     def point_key(spec: SweepSpec, params: Mapping[str, Any]) -> dict[str, Any]:
-        """The cache-key material of one point.
-
-        Includes the library version and the engine schema version, so
-        upgrading either invalidates stale results; excludes the sweep
-        *name*, so differently-labelled sweeps over the same invariants
-        share entries.
-        """
-        return {
-            "schema": SCHEMA_VERSION,
-            "code": __version__,
-            "sweep": dict(spec.key),
-            "point": dict(params),
-        }
+        """The cache-key material of one point of *spec*."""
+        return key_material(spec.key, params)
 
     # -- execution ---------------------------------------------------------
 

@@ -9,30 +9,41 @@ those params (a fresh cluster, a fresh booted OS — never shared
 mutable state), and return a JSON-able payload.  That contract is what
 makes a ``--jobs 4`` run byte-identical to a serial one.
 
+:data:`POINT_KINDS` declares each kind of sweep point once: its
+``experiment`` name, its worker, the parameters it accepts and which
+of them form the sweep key.  The batch ``run_*`` helpers build their
+:class:`SweepSpec` from it, and the job service derives its shared
+scenarios from it (:mod:`repro.service.scenarios`), so a point
+computed through either door is a cache hit through the other.
+
 Registries map names to machine and app models so cache keys stay
 textual: a cache entry's key is e.g. ``{"machine": "Intel Xeon
 X5550", "unroll": 6}``, never a pickled object.
+
+Importing this module loads no numpy: the code that needs
+:mod:`repro.kernels` imports it where it runs, so ``repro serve``
+imports the workers at start-up and its forked attempts inherit them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.arch import EXYNOS5_DUAL, SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.arch.cpu import MachineModel
-from repro.engine.engine import ExperimentEngine, SweepSpec
+from repro.engine.chaos import chaos_point
+from repro.engine.engine import ExperimentEngine, SweepSpec, Worker
 from repro.errors import EngineError
-from repro.kernels.counters import CounterSet
-from repro.kernels.magicfilter import UNROLL_RANGE
+
+if TYPE_CHECKING:
+    from repro.kernels.counters import CounterSet
 
 #: Machines addressable by name in sweep params.
 MACHINES: dict[str, MachineModel] = {
     machine.name: machine
     for machine in (XEON_X5550, SNOWBALL_A9500, TEGRA2_NODE, EXYNOS5_DUAL)
 }
-
-#: Cluster-capable apps addressable by name in sweep params.
-APP_NAMES = ("linpack", "specfem3d", "bigdft")
 
 
 def machine_by_name(name: str) -> MachineModel:
@@ -182,6 +193,106 @@ def cluster_energy_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# The point table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PointKind:
+    """One kind of sweep point, declared once for the batch helpers and
+    the job service.
+
+    ``fields`` maps every parameter a point accepts, in point order, to
+    the types a service submission may carry; ``defaults`` fills the
+    ones a submission may omit.  The sweep key is ``experiment`` plus
+    the ``key_fields``: what the worker's output depends on besides the
+    point itself, minus what a sweep varies point by point (a cluster
+    seed, an unroll degree).
+    """
+
+    experiment: str
+    worker: Worker
+    fields: Mapping[str, tuple[type, ...]]
+    key_fields: tuple[str, ...]
+    defaults: Mapping[str, Any] = field(default_factory=dict)
+
+    def sweep_key(self, params: Mapping[str, Any]) -> dict[str, Any]:
+        """The sweep key of a point, read from its (shared) params."""
+        key: dict[str, Any] = {"experiment": self.experiment}
+        key.update((name, params[name]) for name in self.key_fields)
+        return key
+
+    def spec(
+        self, label: str, points: Sequence[Mapping[str, Any]], **shared: Any
+    ) -> SweepSpec:
+        """A batch sweep whose points are *shared* plus each of *points*."""
+        return SweepSpec(
+            label, self.worker,
+            [dict(shared, **point) for point in points],
+            key=self.sweep_key(shared),
+        )
+
+
+_CLUSTER_FIELDS = {
+    "app": (str,), "app_args": (dict,), "num_nodes": (int,),
+    "seed": (int,), "cores": (int,),
+}
+_CLUSTER_KEY = ("app", "app_args", "num_nodes")
+_CLUSTER_DEFAULTS = {"app_args": {}, "num_nodes": 96, "seed": 7}
+_FAULT_FIELDS = dict(_CLUSTER_FIELDS, plan=(str,))
+
+#: Every kind of engine point the batch sweeps run, by ``experiment``
+#: name; the service's shared scenarios are built from the same
+#: entries.  Cluster keys omit the seed (each point carries its own),
+#: so single-seed runs and replicated series share cache entries
+#: point-for-point.  The chaos key is the experiment alone: injected
+#: faults change how hard a value is to obtain, never the value.
+POINT_KINDS: dict[str, PointKind] = {
+    kind.experiment: kind
+    for kind in (
+        PointKind(
+            "cluster-elapsed", cluster_time_point,
+            _CLUSTER_FIELDS, _CLUSTER_KEY, _CLUSTER_DEFAULTS,
+        ),
+        PointKind(
+            "cluster-energy", cluster_energy_point,
+            _CLUSTER_FIELDS, _CLUSTER_KEY, _CLUSTER_DEFAULTS,
+        ),
+        PointKind(
+            "magicfilter", magicfilter_point,
+            {"machine": (str,), "shape": (list,), "unroll": (int,)},
+            ("machine", "shape"), {"shape": [32, 32, 32]},
+        ),
+        PointKind(
+            "page-alloc", page_alloc_point,
+            {
+                "machine": (str,), "fragmentation": (int, float),
+                "seed": (int,), "array_bytes": (int,),
+            },
+            ("machine", "array_bytes"),
+            {"fragmentation": 0.0, "seed": 7, "array_bytes": 8 << 20},
+        ),
+        PointKind(
+            "chaos-squares", chaos_point,
+            {"x": (int,), "state_dir": (str,), "faults": (dict,)},
+            (), {"faults": {}},
+        ),
+        PointKind(
+            "fault-scaling", fault_scaling_point,
+            _FAULT_FIELDS, _CLUSTER_KEY + ("plan", "seed"),
+        ),
+        PointKind(
+            "checkpoint-sweep", checkpoint_interval_point,
+            dict(
+                _FAULT_FIELDS, horizon_s=(int, float), interval_s=(int, float)
+            ),
+            _CLUSTER_KEY + ("plan", "seed", "horizon_s", "cores"),
+        ),
+    )
+}
+
+
+# ---------------------------------------------------------------------------
 # Sweep builders
 # ---------------------------------------------------------------------------
 
@@ -190,23 +301,23 @@ def run_magicfilter_sweep(
     engine: ExperimentEngine,
     machine: str,
     *,
-    unrolls: Sequence[int] = UNROLL_RANGE,
+    unrolls: Sequence[int] | None = None,
     shape: tuple[int, int, int] = (32, 32, 32),
     label: str | None = None,
 ) -> dict[int, CounterSet]:
-    """The Figure 7 unroll sweep; returns ``unroll -> CounterSet``."""
-    spec = SweepSpec(
+    """The Figure 7 unroll sweep; returns ``unroll -> CounterSet``.
+
+    ``unrolls`` defaults to the paper's ``UNROLL_RANGE`` (1-12).
+    """
+    from repro.kernels.counters import CounterSet
+    from repro.kernels.magicfilter import UNROLL_RANGE
+
+    if unrolls is None:
+        unrolls = UNROLL_RANGE
+    spec = POINT_KINDS["magicfilter"].spec(
         label or f"magicfilter/{machine}",
-        magicfilter_point,
-        [
-            {"machine": machine, "shape": list(shape), "unroll": u}
-            for u in unrolls
-        ],
-        key={
-            "experiment": "magicfilter",
-            "machine": machine,
-            "shape": list(shape),
-        },
+        [{"unroll": u} for u in unrolls],
+        machine=machine, shape=list(shape),
     )
     run = engine.run(spec)
     return {
@@ -227,32 +338,14 @@ def run_cluster_times(
     app_args: Mapping[str, Any] | None = None,
     label: str | None = None,
 ) -> dict[int, float]:
-    """Elapsed seconds per core count for one cluster app.
-
-    The sweep ``key`` deliberately omits the seed (each point carries
-    its own), so single-seed runs and :func:`run_replicated_times`
-    series share cache entries point-for-point.
-    """
-    key = {
-        "experiment": "cluster-elapsed",
-        "app": app,
-        "app_args": dict(app_args or {}),
-        "num_nodes": num_nodes,
-    }
-    spec = SweepSpec(
-        label or f"scaling/{app}",
-        cluster_time_point,
-        [
-            {
-                "app": app, "app_args": dict(app_args or {}),
-                "num_nodes": num_nodes, "seed": seed, "cores": cores,
-            }
-            for cores in counts
-        ],
-        key=key,
+    """Elapsed seconds per core count for one cluster app: the
+    one-seed case of :func:`run_replicated_times`, whose cache entries
+    it shares point-for-point."""
+    times = run_replicated_times(
+        engine, app, counts=counts, num_nodes=num_nodes, seeds=[seed],
+        app_args=app_args, label=label,
     )
-    run = engine.run(spec)
-    return {point["cores"]: value["elapsed_s"] for point, value in run}
+    return {cores: elapsed for cores, (elapsed,) in times.items()}
 
 
 def run_speedup_curve(
@@ -341,22 +434,11 @@ def run_fault_scaling(
     label: str | None = None,
 ) -> list[tuple[int, dict[str, Any]]]:
     """LINPACK-under-faults rows per core count (the ``faults`` artefact)."""
-    spec = SweepSpec(
+    spec = POINT_KINDS["fault-scaling"].spec(
         label or f"faults/{plan}",
-        fault_scaling_point,
-        [
-            {
-                "app": app, "app_args": dict(app_args or {}),
-                "plan": plan, "num_nodes": num_nodes, "seed": seed,
-                "cores": cores,
-            }
-            for cores in sorted(counts)
-        ],
-        key={
-            "experiment": "fault-scaling",
-            "app": app, "app_args": dict(app_args or {}),
-            "plan": plan, "num_nodes": num_nodes, "seed": seed,
-        },
+        [{"cores": cores} for cores in sorted(counts)],
+        app=app, app_args=dict(app_args or {}), plan=plan,
+        num_nodes=num_nodes, seed=seed,
     )
     run = engine.run(spec)
     return [(point["cores"], value) for point, value in run]
@@ -376,16 +458,11 @@ def run_checkpoint_sweep(
     label: str | None = None,
 ) -> list[tuple[float, dict[str, Any]]]:
     """The X9 checkpoint-interval sweep, one engine point per interval."""
-    base = {
-        "app": app, "app_args": dict(app_args or {}),
-        "plan": plan, "horizon_s": horizon_s,
-        "cores": cores, "num_nodes": num_nodes, "seed": seed,
-    }
-    spec = SweepSpec(
+    spec = POINT_KINDS["checkpoint-sweep"].spec(
         label or f"checkpoint/{plan}",
-        checkpoint_interval_point,
-        [dict(base, interval_s=interval) for interval in intervals],
-        key=dict(base, experiment="checkpoint-sweep"),
+        [{"interval_s": interval} for interval in intervals],
+        app=app, app_args=dict(app_args or {}), plan=plan,
+        horizon_s=horizon_s, cores=cores, num_nodes=num_nodes, seed=seed,
     )
     run = engine.run(spec)
     return [(point["interval_s"], value) for point, value in run]
@@ -401,22 +478,14 @@ def run_page_alloc_sweep(
     label: str | None = None,
 ) -> dict[tuple[float, int], float]:
     """The X1 boot-to-boot bandwidth grid; keys are (fragmentation, seed)."""
-    spec = SweepSpec(
+    spec = POINT_KINDS["page-alloc"].spec(
         label or f"page-alloc/{machine}",
-        page_alloc_point,
         [
-            {
-                "machine": machine, "fragmentation": fragmentation,
-                "seed": seed, "array_bytes": array_bytes,
-            }
+            {"fragmentation": fragmentation, "seed": seed}
             for fragmentation in fragmentations
             for seed in seeds
         ],
-        key={
-            "experiment": "page-alloc",
-            "machine": machine,
-            "array_bytes": array_bytes,
-        },
+        machine=machine, array_bytes=array_bytes,
     )
     run = engine.run(spec)
     return {
@@ -444,19 +513,11 @@ def run_chaos_sweep(
     so runs that share a fault plan and state directory are comparable
     point-for-point with each other.
     """
-    from repro.engine.chaos import chaos_point
-
-    spec = SweepSpec(
+    spec = POINT_KINDS["chaos-squares"].spec(
         label or "chaos/squares",
-        chaos_point,
-        [
-            {
-                "x": x, "state_dir": state_dir,
-                "faults": {k: dict(v) for k, v in (faults or {}).items()},
-            }
-            for x in xs
-        ],
-        key={"experiment": "chaos-squares"},
+        [{"x": x} for x in xs],
+        state_dir=state_dir,
+        faults={k: dict(v) for k, v in (faults or {}).items()},
     )
     run = engine.run(spec)
     return {point["x"]: value["value"] for point, value in run}
@@ -491,22 +552,10 @@ def run_replicated_times(
     pair is its own cache entry — shared with single-seed
     :func:`run_cluster_times` runs at the same seed.
     """
-    spec = SweepSpec(
+    spec = POINT_KINDS["cluster-elapsed"].spec(
         label or f"scaling/{app}",
-        cluster_time_point,
-        [
-            {
-                "app": app, "app_args": dict(app_args or {}),
-                "num_nodes": num_nodes, "cores": cores,
-            }
-            for cores in counts
-        ],
-        key={
-            "experiment": "cluster-elapsed",
-            "app": app,
-            "app_args": dict(app_args or {}),
-            "num_nodes": num_nodes,
-        },
+        [{"cores": cores} for cores in counts],
+        app=app, app_args=dict(app_args or {}), num_nodes=num_nodes,
     )
     run = engine.run_replicated(spec, seeds)
     return {
@@ -562,21 +611,10 @@ def run_replicated_energy(
     label: str | None = None,
 ) -> dict[int, tuple[dict[str, Any], ...]]:
     """X4 energy replicates: ``cores -> (payload per seed)``."""
-    spec = SweepSpec(
+    spec = POINT_KINDS["cluster-energy"].spec(
         label or f"energy/{app}",
-        cluster_energy_point,
-        [
-            {
-                "app": app, "app_args": dict(app_args or {}),
-                "num_nodes": num_nodes, "cores": cores,
-            }
-            for cores in sorted(counts)
-        ],
-        key={
-            "experiment": "cluster-energy",
-            "app": app, "app_args": dict(app_args or {}),
-            "num_nodes": num_nodes,
-        },
+        [{"cores": cores} for cores in sorted(counts)],
+        app=app, app_args=dict(app_args or {}), num_nodes=num_nodes,
     )
     run = engine.run_replicated(spec, seeds)
     return {point["cores"]: values for point, values in run}
@@ -593,21 +631,8 @@ def run_energy_study(
     label: str | None = None,
 ) -> list[tuple[int, dict[str, Any]]]:
     """The X4 energy-at-scale rows, sorted by core count."""
-    spec = SweepSpec(
-        label or f"energy/{app}",
-        cluster_energy_point,
-        [
-            {
-                "app": app, "app_args": dict(app_args or {}),
-                "num_nodes": num_nodes, "seed": seed, "cores": cores,
-            }
-            for cores in sorted(counts)
-        ],
-        key={
-            "experiment": "cluster-energy",
-            "app": app, "app_args": dict(app_args or {}),
-            "num_nodes": num_nodes,
-        },
+    rows = run_replicated_energy(
+        engine, app, counts=counts, num_nodes=num_nodes, seeds=[seed],
+        app_args=app_args, label=label,
     )
-    run = engine.run(spec)
-    return [(point["cores"], value) for point, value in run]
+    return [(cores, value) for cores, (value,) in rows.items()]

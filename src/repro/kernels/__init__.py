@@ -1,8 +1,5 @@
 """Computational kernels and their performance models.
 
-* :mod:`repro.kernels.codegen` — an abstract code-generation model:
-  register allocation with spill estimation and loop scheduling, the
-  mechanism behind the unrolling effects in Figures 6 and 7;
 * :mod:`repro.kernels.variants` — the element-size x unroll x
   vectorization variants of the stride kernel (Figure 6);
 * :mod:`repro.kernels.membench` — the §V-A memory microbenchmark
@@ -12,7 +9,6 @@
 * :mod:`repro.kernels.counters` — PAPI-style hardware counters.
 """
 
-from repro.kernels.codegen import LoopKernel, RegisterPressure, ScheduledLoop
 from repro.kernels.counters import CounterSet
 from repro.kernels.magicfilter import (
     MAGICFILTER_LENGTH,
@@ -37,13 +33,10 @@ __all__ = [
     "LatencySample",
     "IssueProfile",
     "KernelVariant",
-    "LoopKernel",
     "MAGICFILTER_LENGTH",
     "MagicFilterBenchmark",
     "MemBench",
     "MemBenchConfig",
-    "RegisterPressure",
-    "ScheduledLoop",
     "apply_magicfilter_3d",
     "fit_memory_model",
     "issue_profile",

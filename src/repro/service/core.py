@@ -282,7 +282,8 @@ class JobService:
         attached in-flight job (``deduped=True``), a queued job, or a
         typed rejection (:class:`ServiceDraining`,
         :class:`ServiceOverloaded`, :class:`CircuitOpen`,
-        :class:`InvalidJobRequest`).
+        :class:`InvalidJobRequest`, :class:`JournalError`).  A rejected
+        job is neither queued nor attachable.
         """
         if self.draining:
             raise ServiceDraining()
@@ -349,19 +350,24 @@ class JobService:
         # submission attaches to this job instead of racing it.
         self.single_flight.claim(job)
         try:
+            # Room, then the job/ record, then the queue, with no await
+            # in between: a refused job is never journaled, and a job
+            # whose record could not be written is never queued.
+            self.queue.ensure_room()
+            if self.journal is not None:
+                self.journal.append(f"job/{job.job_id}", {
+                    "scenario": scenario.name,
+                    "params": point,
+                    "deadline_s": deadline_s,
+                })
             await self.queue.admit(job)
-        except ServiceOverloaded:
+        except (ServiceOverloaded, JournalError) as error:
             self.single_flight.release(job)
             breaker.abandon_probe()
-            self.metrics.inc("service.rejected.queue_full")
+            if isinstance(error, ServiceOverloaded):
+                self.metrics.inc("service.rejected.queue_full")
             self._update_gauges()
             raise
-        if self.journal is not None:
-            self.journal.append(f"job/{job.job_id}", {
-                "scenario": scenario.name,
-                "params": point,
-                "deadline_s": deadline_s,
-            })
         self.jobs[job.job_id] = job
         if wait:
             job.waiters += 1

@@ -85,14 +85,18 @@ class AdmissionQueue:
     def observe_wall(self, wall_s: float) -> None:
         self._ewma_wall_s += 0.2 * (max(0.0, wall_s) - self._ewma_wall_s)
 
-    async def admit(self, job: Job) -> None:
-        """Enqueue *job* or reject it with a typed 429."""
+    def ensure_room(self) -> None:
+        """Reject with a typed 429 if the queue is full."""
         if len(self._queue) >= self._capacity:
             raise ServiceOverloaded(
                 depth=len(self._queue),
                 capacity=self._capacity,
                 retry_after_s=self.retry_after_s(),
             )
+
+    async def admit(self, job: Job) -> None:
+        """Enqueue *job* or reject it with a typed 429."""
+        self.ensure_room()
         self._queue.append(job)
         async with self._ready:
             self._ready.notify()

@@ -1,10 +1,17 @@
 """The scenario registry: named, validated job types.
 
 A scenario maps a client's ``{"scenario": name, "params": {...}}``
-submission onto the exact (sweep key, point params, worker) triple the
-batch engine uses, so the service and the batch CLI are two doors into
-the *same* content-addressed result space: a point computed by ``repro
-fig3`` is a warm cache hit for ``repro submit``, and vice versa.
+submission onto a (sweep key, point params, worker) triple.  The
+scenarios shared with the batch sweeps — ``cluster-elapsed``,
+``cluster-energy``, ``magicfilter``, ``page-alloc`` and
+``chaos-squares`` — are derived from the engine's point table
+(:data:`repro.engine.sweeps.POINT_KINDS`), and every job is keyed with
+the engine's own :func:`~repro.engine.engine.key_material`, so the
+service and the batch CLI are two doors into the *same*
+content-addressed result space: a point computed by ``repro fig3`` is
+a warm cache hit for ``repro submit``, and vice versa.  The
+service-native scenarios (``squares``, ``sleepy``, ``trace-analysis``)
+are declared here in the same form.
 
 Every scenario carries a ``scenario_class`` — the circuit-breaker
 granularity.  A class that keeps crashing workers is shed as a unit
@@ -13,14 +20,15 @@ while other classes keep flowing.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.engine.engine import SCHEMA_VERSION
+from repro.engine.engine import Worker, key_material
 from repro.engine.hashing import content_key
+from repro.engine.sweeps import POINT_KINDS, PointKind
 from repro.errors import InvalidJobRequest
-from repro.version import __version__
 
 
 # ---------------------------------------------------------------------------
@@ -40,210 +48,6 @@ def sleepy_point(params: Mapping[str, Any]) -> dict[str, Any]:
     duration = params["duration_s"]
     time.sleep(duration)
     return {"slept_s": duration}
-
-
-# ---------------------------------------------------------------------------
-# Parameter validation
-# ---------------------------------------------------------------------------
-
-
-def _validated(
-    scenario: str,
-    params: Mapping[str, Any],
-    fields: Mapping[str, tuple[Any, ...]],
-    defaults: Mapping[str, Any],
-) -> dict[str, Any]:
-    """Check *params* against the scenario's field table.
-
-    ``fields`` maps name -> accepted types; every submitted key must be
-    known, every key missing from both *params* and *defaults* is an
-    error, and type mismatches are reported with what arrived.  The
-    result is a complete, defaulted param dict in ``fields`` order so
-    identical submissions canonicalize to identical content keys.
-    """
-    unknown = sorted(set(params) - set(fields))
-    if unknown:
-        raise InvalidJobRequest(
-            f"scenario {scenario!r} does not accept parameter(s) "
-            f"{', '.join(repr(u) for u in unknown)}; "
-            f"accepted: {', '.join(sorted(fields))}"
-        )
-    out: dict[str, Any] = {}
-    for name, types in fields.items():
-        if name in params:
-            value = params[name]
-        elif name in defaults:
-            value = defaults[name]
-        else:
-            raise InvalidJobRequest(
-                f"scenario {scenario!r} requires parameter {name!r}"
-            )
-        if not isinstance(value, types) or (
-            # bool passes isinstance(int) — reject it where a number
-            # is meant, or True silently becomes cores=1.
-            isinstance(value, bool) and bool not in types
-        ):
-            wanted = "/".join(t.__name__ for t in types)
-            raise InvalidJobRequest(
-                f"scenario {scenario!r} parameter {name!r} must be "
-                f"{wanted}, got {type(value).__name__} ({value!r})"
-            )
-        out[name] = value
-    return out
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One named job type the service accepts.
-
-    ``build(params)`` validates a submission and returns the
-    ``(sweep_key, point)`` pair whose content key addresses the result
-    — the same material :meth:`ExperimentEngine.point_key` derives for
-    the equivalent batch sweep point.
-    """
-
-    name: str
-    scenario_class: str
-    worker: Callable[[Mapping[str, Any]], Any]
-    builder: Callable[[Mapping[str, Any]], tuple[dict[str, Any], dict[str, Any]]]
-    #: Progress-streaming scenarios get a per-job NDJSON file injected
-    #: as ``_progress_path`` (worker-side only — never key material),
-    #: which ``GET /jobs/<id>/trace`` tails while the job runs.
-    progress: bool = False
-
-    def build(
-        self, params: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], dict[str, Any]]:
-        return self.builder(params)
-
-
-def _build_squares(params: Mapping[str, Any]):
-    point = _validated("squares", params, {"x": (int,)}, {})
-    return {"experiment": "service-squares"}, point
-
-
-def _build_sleepy(params: Mapping[str, Any]):
-    point = _validated(
-        "sleepy", params, {"duration_s": (int, float), "tag": (str,)},
-        {"tag": ""},
-    )
-    if params.get("duration_s", 0) < 0:
-        raise InvalidJobRequest(
-            f"scenario 'sleepy' duration_s must be >= 0, "
-            f"got {params['duration_s']}"
-        )
-    return {"experiment": "service-sleepy"}, point
-
-
-def _build_chaos_squares(params: Mapping[str, Any]):
-    point = _validated(
-        "chaos-squares", params,
-        {"x": (int,), "state_dir": (str,), "faults": (dict,)},
-        {"faults": {}},
-    )
-    # Key parity with run_chaos_sweep: faulty and clean submissions of
-    # the same x share one entry (faults change the road, not the
-    # destination) — but state_dir/faults still ride in the point so
-    # the worker sees them.
-    return {"experiment": "chaos-squares"}, point
-
-
-def _build_cluster_elapsed(params: Mapping[str, Any]):
-    point = _validated(
-        "cluster-elapsed", params,
-        {
-            "app": (str,), "app_args": (dict,), "num_nodes": (int,),
-            "seed": (int,), "cores": (int,),
-        },
-        {"app_args": {}, "num_nodes": 96, "seed": 7},
-    )
-    key = {
-        "experiment": "cluster-elapsed",
-        "app": point["app"],
-        "app_args": dict(point["app_args"]),
-        "num_nodes": point["num_nodes"],
-    }
-    return key, point
-
-
-def _build_cluster_energy(params: Mapping[str, Any]):
-    point = _validated(
-        "cluster-energy", params,
-        {
-            "app": (str,), "app_args": (dict,), "num_nodes": (int,),
-            "seed": (int,), "cores": (int,),
-        },
-        {"app_args": {}, "num_nodes": 96, "seed": 7},
-    )
-    key = {
-        "experiment": "cluster-energy",
-        "app": point["app"],
-        "app_args": dict(point["app_args"]),
-        "num_nodes": point["num_nodes"],
-    }
-    return key, point
-
-
-def _build_magicfilter(params: Mapping[str, Any]):
-    point = _validated(
-        "magicfilter", params,
-        {"machine": (str,), "shape": (list,), "unroll": (int,)},
-        {"shape": [32, 32, 32]},
-    )
-    shape = point["shape"]
-    if len(shape) != 3 or not all(isinstance(n, int) for n in shape):
-        raise InvalidJobRequest(
-            f"scenario 'magicfilter' shape must be [nx, ny, nz], "
-            f"got {shape!r}"
-        )
-    key = {
-        "experiment": "magicfilter",
-        "machine": point["machine"],
-        "shape": list(shape),
-    }
-    return key, point
-
-
-def _build_trace_analysis(params: Mapping[str, Any]):
-    point = _validated(
-        "trace-analysis", params,
-        {"app": (str,), "seed": (int,), "num_ranks": (int,)},
-        {"app": "bigdft", "seed": 7, "num_ranks": 36},
-    )
-    if point["app"] not in ("bigdft", "specfem3d"):
-        raise InvalidJobRequest(
-            f"scenario 'trace-analysis' app must be 'bigdft' or "
-            f"'specfem3d', got {point['app']!r}"
-        )
-    if not 2 <= point["num_ranks"] <= 256:
-        raise InvalidJobRequest(
-            f"scenario 'trace-analysis' num_ranks must be in [2, 256], "
-            f"got {point['num_ranks']}"
-        )
-    key = {
-        "experiment": "trace-analysis",
-        "app": point["app"],
-        "num_ranks": point["num_ranks"],
-    }
-    return key, point
-
-
-def _build_page_alloc(params: Mapping[str, Any]):
-    point = _validated(
-        "page-alloc", params,
-        {
-            "machine": (str,), "fragmentation": (int, float),
-            "seed": (int,), "array_bytes": (int,),
-        },
-        {"fragmentation": 0.0, "seed": 7, "array_bytes": 8 << 20},
-    )
-    point["fragmentation"] = float(point["fragmentation"])
-    key = {
-        "experiment": "page-alloc",
-        "machine": point["machine"],
-        "array_bytes": point["array_bytes"],
-    }
-    return key, point
 
 
 def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -322,55 +126,155 @@ def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
             handle.close()
 
 
-def _chaos_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.chaos import chaos_point
-
-    return chaos_point(params)
-
-
-def _cluster_time_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import cluster_time_point
-
-    return cluster_time_point(params)
+# ---------------------------------------------------------------------------
+# Parameter validation
+# ---------------------------------------------------------------------------
 
 
-def _cluster_energy_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import cluster_energy_point
+def _validated(
+    scenario: str, params: Mapping[str, Any], kind: PointKind
+) -> dict[str, Any]:
+    """Check *params* against the field table of *kind*.
 
-    return cluster_energy_point(params)
+    Every submitted key must be a field, every field missing from both
+    *params* and the defaults is an error, and type mismatches are
+    reported with what arrived.  The result is a complete, defaulted
+    point in field order.
+    """
+    unknown = sorted(set(params) - set(kind.fields))
+    if unknown:
+        raise InvalidJobRequest(
+            f"scenario {scenario!r} does not accept parameter(s) "
+            f"{', '.join(repr(u) for u in unknown)}; "
+            f"accepted: {', '.join(sorted(kind.fields))}"
+        )
+    out: dict[str, Any] = {}
+    for name, types in kind.fields.items():
+        if name in params:
+            value = params[name]
+        elif name in kind.defaults:
+            # A copy: the defaults are shared by every submission.
+            value = copy.deepcopy(kind.defaults[name])
+        else:
+            raise InvalidJobRequest(
+                f"scenario {scenario!r} requires parameter {name!r}"
+            )
+        if not isinstance(value, types) or (
+            # bool passes isinstance(int) — reject it where a number
+            # is meant, or True silently becomes cores=1.
+            isinstance(value, bool) and bool not in types
+        ):
+            wanted = "/".join(t.__name__ for t in types)
+            raise InvalidJobRequest(
+                f"scenario {scenario!r} parameter {name!r} must be "
+                f"{wanted}, got {type(value).__name__} ({value!r})"
+            )
+        out[name] = value
+    return out
 
 
-def _magicfilter_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import magicfilter_point
+def _check_sleepy(point: dict[str, Any]) -> None:
+    if point["duration_s"] < 0:
+        raise InvalidJobRequest(
+            f"scenario 'sleepy' duration_s must be >= 0, "
+            f"got {point['duration_s']}"
+        )
 
-    return magicfilter_point(params)
+
+def _check_trace_analysis(point: dict[str, Any]) -> None:
+    if point["app"] not in ("bigdft", "specfem3d"):
+        raise InvalidJobRequest(
+            f"scenario 'trace-analysis' app must be 'bigdft' or "
+            f"'specfem3d', got {point['app']!r}"
+        )
+    if not 2 <= point["num_ranks"] <= 256:
+        raise InvalidJobRequest(
+            f"scenario 'trace-analysis' num_ranks must be in [2, 256], "
+            f"got {point['num_ranks']}"
+        )
 
 
-def _page_alloc_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import page_alloc_point
+def _check_shape(point: dict[str, Any]) -> None:
+    shape = point["shape"]
+    if len(shape) != 3 or not all(isinstance(n, int) for n in shape):
+        raise InvalidJobRequest(
+            f"scenario 'magicfilter' shape must be [nx, ny, nz], "
+            f"got {shape!r}"
+        )
 
-    return page_alloc_point(params)
+
+def _float_fragmentation(point: dict[str, Any]) -> None:
+    point["fragmentation"] = float(point["fragmentation"])
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One named job type the service accepts.
+
+    ``build(params)`` validates a submission against ``kind`` and
+    returns the ``(sweep_key, point)`` pair whose content key addresses
+    the result.  ``check`` runs after the type checks: it refuses what
+    types cannot express, and may normalize the point in place.
+    """
+
+    name: str
+    scenario_class: str
+    kind: PointKind
+    check: Callable[[dict[str, Any]], None] | None = None
+    #: Progress-streaming scenarios get a per-job NDJSON file injected
+    #: as ``_progress_path`` (worker-side only — never key material),
+    #: which ``GET /jobs/<id>/trace`` tails while the job runs.
+    progress: bool = False
+
+    @property
+    def worker(self) -> Worker:
+        return self.kind.worker
+
+    def build(
+        self, params: Mapping[str, Any]
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
+        point = _validated(self.name, params, self.kind)
+        if self.check is not None:
+            self.check(point)
+        return self.kind.sweep_key(point), point
 
 
 SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
-        Scenario("squares", "demo", squares_point, _build_squares),
-        Scenario("sleepy", "slow", sleepy_point, _build_sleepy),
-        Scenario("chaos-squares", "chaos", _chaos_worker, _build_chaos_squares),
         Scenario(
-            "cluster-elapsed", "cluster",
-            _cluster_time_worker, _build_cluster_elapsed,
+            "squares", "demo",
+            PointKind("service-squares", squares_point, {"x": (int,)}, ()),
         ),
         Scenario(
-            "cluster-energy", "cluster",
-            _cluster_energy_worker, _build_cluster_energy,
+            "sleepy", "slow",
+            PointKind(
+                "service-sleepy", sleepy_point,
+                {"duration_s": (int, float), "tag": (str,)}, (),
+                {"tag": ""},
+            ),
+            check=_check_sleepy,
         ),
-        Scenario("magicfilter", "kernels", _magicfilter_worker, _build_magicfilter),
-        Scenario("page-alloc", "memsim", _page_alloc_worker, _build_page_alloc),
+        Scenario("chaos-squares", "chaos", POINT_KINDS["chaos-squares"]),
+        Scenario("cluster-elapsed", "cluster", POINT_KINDS["cluster-elapsed"]),
+        Scenario("cluster-energy", "cluster", POINT_KINDS["cluster-energy"]),
+        Scenario(
+            "magicfilter", "kernels", POINT_KINDS["magicfilter"],
+            check=_check_shape,
+        ),
+        Scenario(
+            "page-alloc", "memsim", POINT_KINDS["page-alloc"],
+            check=_float_fragmentation,
+        ),
         Scenario(
             "trace-analysis", "tracing",
-            trace_analysis_point, _build_trace_analysis,
+            PointKind(
+                "trace-analysis", trace_analysis_point,
+                {"app": (str,), "seed": (int,), "num_ranks": (int,)},
+                ("app", "num_ranks"),
+                {"app": "bigdft", "seed": 7, "num_ranks": 36},
+            ),
+            check=_check_trace_analysis,
             progress=True,
         ),
     )
@@ -390,17 +294,7 @@ def resolve_scenario(name: Any) -> Scenario:
 def job_content_key(
     scenario: Scenario, params: Mapping[str, Any]
 ) -> tuple[dict[str, Any], dict[str, Any], str]:
-    """``(key_material, point, hash)`` for one validated submission.
-
-    The material mirrors :meth:`ExperimentEngine.point_key` exactly
-    (schema + code version + sweep key + point), which is what makes
-    the service's cache and journal interoperable with batch sweeps.
-    """
+    """``(key_material, point, hash)`` for one validated submission."""
     sweep_key, point = scenario.build(params)
-    material = {
-        "schema": SCHEMA_VERSION,
-        "code": __version__,
-        "sweep": sweep_key,
-        "point": point,
-    }
+    material = key_material(sweep_key, point)
     return material, point, content_key(material)

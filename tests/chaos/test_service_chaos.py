@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.chaos import FlakyJournal
-from repro.errors import CircuitOpen, ServiceOverloaded
+from repro.errors import CircuitOpen, JournalError, ServiceOverloaded
 from repro.metrics.registry import MetricsRegistry, use_registry
 from repro.service import JobService, ServiceClient, ServiceConfig
 from repro.service.http import ServiceServer
@@ -280,6 +280,54 @@ class TestJournalFullMidJob:
         assert slot is None
         assert counters["service.failed"]["value"] == 1
         assert "service.completed" not in counters
+
+
+class TestJournalFullAtSubmit:
+    def test_failed_job_write_leaves_no_queued_or_attachable_job(
+        self, tmp_path
+    ):
+        async def scenario():
+            service = JobService(ServiceConfig(
+                cache_root=tmp_path / "cache", pool_size=1,
+            ))
+            # Not even the job/ admission record fits.
+            service.journal = FlakyJournal(
+                tmp_path / "run" / "service.journal", capacity=0
+            )
+            outcomes = []
+            # The resubmission must not attach to a ghost of the first.
+            for _ in range(2):
+                with pytest.raises(JournalError, match="no space left"):
+                    await service.submit("squares", {"x": 5})
+                outcomes.append((
+                    service.queue.depth(), len(service.single_flight),
+                    dict(service.jobs),
+                ))
+            return outcomes
+
+        for depth, in_flight, jobs in run(scenario()):
+            assert depth == 0
+            assert in_flight == 0
+            assert jobs == {}
+
+    def test_failed_job_write_abandons_the_breaker_probe(self, tmp_path):
+        async def scenario():
+            service = JobService(ServiceConfig(
+                cache_root=tmp_path / "cache", pool_size=1,
+                breaker_threshold=1, breaker_cooldown_s=0.05,
+            ))
+            service.journal = FlakyJournal(
+                tmp_path / "run" / "service.journal", capacity=0
+            )
+            breaker = service.breakers.for_class("demo")
+            breaker.record_failure()
+            await asyncio.sleep(0.1)  # past the cooldown: one probe may go
+            with pytest.raises(JournalError):
+                await service.submit("squares", {"x": 5})
+            # The probe slot is free again: the next submission may probe.
+            breaker.allow()
+
+        run(scenario())
 
 
 class ServeProcess:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.engine import ExperimentEngine, SweepSpec, content_key
+from repro.engine import ExperimentEngine, content_key
+from repro.engine.sweeps import (
+    run_chaos_sweep,
+    run_cluster_times,
+    run_magicfilter_sweep,
+    run_page_alloc_sweep,
+    run_replicated_energy,
+)
 from repro.errors import InvalidJobRequest
 from repro.service import SCENARIOS, job_content_key, resolve_scenario
 
@@ -71,14 +78,35 @@ class TestValidation:
         assert a[2] == b[2]
 
 
-class TestEngineKeyParity:
-    """The tentpole's interop contract: a service submission and the
-    equivalent batch sweep point address the *same* cache entry."""
+class _Built(Exception):
+    """Stops a batch helper once it has handed its sweep to the engine."""
 
-    def parity(self, name, params, sweep_key):
+
+class RecordingEngine(ExperimentEngine):
+    """Records the sweep a batch helper builds, computes nothing."""
+
+    def run(self, spec):
+        self.spec = spec
+        raise _Built
+
+
+class TestEngineKeyParity:
+    """The interop contract: a service submission and the
+    equivalent batch sweep point address the *same* cache entry.
+
+    The batch side is whatever the real ``run_*`` helper builds; the
+    literal sweep keys pin today's key shape, so existing caches and
+    journals stay valid."""
+
+    def parity(self, name, params, batch, sweep_key):
         scenario = resolve_scenario(name)
         material, point, digest = job_content_key(scenario, params)
-        spec = SweepSpec("parity", lambda p: None, [point], key=sweep_key)
+        engine = RecordingEngine()
+        with pytest.raises(_Built):
+            batch(engine)
+        spec = engine.spec
+        assert dict(spec.key) == sweep_key
+        assert point in [dict(p) for p in spec.points]
         engine_material = ExperimentEngine.point_key(spec, point)
         assert material == engine_material
         assert digest == content_key(engine_material)
@@ -87,14 +115,20 @@ class TestEngineKeyParity:
         self.parity(
             "chaos-squares",
             {"x": 3, "state_dir": str(tmp_path), "faults": {}},
+            lambda engine: run_chaos_sweep(
+                engine, xs=[1, 3], state_dir=str(tmp_path)
+            ),
             {"experiment": "chaos-squares"},
         )
 
     def test_cluster_elapsed(self):
-        # The exact key shape run_cluster_times builds for figure 3.
+        # The key shape figure 3's sweeps use.
         self.parity(
             "cluster-elapsed",
             {"app": "linpack", "cores": 8},
+            lambda engine: run_cluster_times(
+                engine, "linpack", counts=[1, 8], num_nodes=96, seed=7
+            ),
             {
                 "experiment": "cluster-elapsed",
                 "app": "linpack",
@@ -103,10 +137,43 @@ class TestEngineKeyParity:
             },
         )
 
+    def test_cluster_energy(self):
+        # The key shape the X4 energy rows use.
+        self.parity(
+            "cluster-energy",
+            {"app": "bigdft", "cores": 16, "seed": 9},
+            lambda engine: run_replicated_energy(
+                engine, "bigdft", counts=[4, 16], num_nodes=96, seeds=[7, 9]
+            ),
+            {
+                "experiment": "cluster-energy",
+                "app": "bigdft",
+                "app_args": {},
+                "num_nodes": 96,
+            },
+        )
+
+    def test_magicfilter(self):
+        # The key shape figure 7's unroll sweep uses.
+        self.parity(
+            "magicfilter",
+            {"machine": "Intel Xeon X5550", "unroll": 6},
+            lambda engine: run_magicfilter_sweep(engine, "Intel Xeon X5550"),
+            {
+                "experiment": "magicfilter",
+                "machine": "Intel Xeon X5550",
+                "shape": [32, 32, 32],
+            },
+        )
+
     def test_page_alloc(self):
         self.parity(
             "page-alloc",
             {"machine": "snowball", "fragmentation": 0.25},
+            lambda engine: run_page_alloc_sweep(
+                engine, machine="snowball", fragmentations=[0.0, 0.25],
+                seeds=[7], array_bytes=8 << 20,
+            ),
             {
                 "experiment": "page-alloc",
                 "machine": "snowball",
